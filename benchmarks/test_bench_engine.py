@@ -6,11 +6,12 @@ Three layers:
 * the fast engine's >= 3x single-link speedup over the reference loop
   (its reason to exist, from PR 1), guarded against regressing more
   than 20% below the committed ``BENCH_engine_baseline.json`` pin;
-* two 64-task fig3-style grids through :class:`BatchExperimentPool`:
-  a mixed-mode RapidSample/UDP grid (the Chapter 3 evaluation shape)
-  and a cruise-friendly fixed-rate grid (the fig 3-1 style single-rate
-  replay sweep), each asserted bit-identical to serial fast-engine runs
-  and pinned against their baseline speedups.
+* two 64-task fig3-style grids: a mixed-mode RapidSample/UDP grid (the
+  Chapter 3 evaluation shape) run through ``Session(engine="auto")``
+  against ``Session(engine="fast")``, and a cruise-friendly fixed-rate
+  grid (the fig 3-1 style single-rate replay sweep) at engine level,
+  each asserted bit-identical to serial fast-engine runs and pinned
+  against their baseline speedups.
 
 Ratios are measured in CPU time (best of three) so the pins are stable
 under machine noise, and every measured number is emitted as a
@@ -28,14 +29,10 @@ from conftest import (
 
 import numpy as np
 
+from repro.api import GridSpec, Session
 from repro.channel import OFFICE, generate_trace
 from repro.core.architecture import HintAwareNode
 from repro.experiments.common import cached_hints, cached_trace
-from repro.experiments.parallel import (
-    BatchExperimentPool,
-    ExperimentPool,
-    ThroughputTask,
-)
 from repro.mac import BatchLinkSpec, SimConfig, UdpSource, run_batch, run_link
 from repro.rate import FixedRate, RapidSample
 from repro.sensors import mixed_mobility_script
@@ -74,12 +71,13 @@ def _best_of_cpu(fn, rounds=3):
     return best, result
 
 
-def _grid_tasks():
+def _grid_specs():
+    """The 64-task grid as specs: one GridSpec per mobility mode."""
     return [
-        ThroughputTask(protocol="RapidSample", env=env, mode=mode, seed=seed,
-                       duration_s=_GRID_DURATION_S, tcp=False)
+        GridSpec(protocols=("RapidSample",), envs=(env,), mode=mode,
+                 n_seeds=_GRID_SEEDS, seed0=0, duration_s=_GRID_DURATION_S,
+                 tcp=False, best_samplerate_protocols=())
         for mode, env in _GRID_MODES
-        for seed in range(_GRID_SEEDS)
     ]
 
 
@@ -148,9 +146,11 @@ def test_fast_engine_speedup_and_equivalence():
 
 
 def test_batch_grid_speedup_and_equivalence():
-    """The batch executor on the 64-task fig3-style grid: bit-identical
+    """The batch engine on the 64-task fig3-style grid: bit-identical
     to serial fast-engine replays, faster, and pinned against the
-    committed baseline speedups (>20% regression fails).
+    committed baseline speedups (>20% regression fails).  The mixed
+    grid runs through sessions, so ``engine="auto"`` must also keep
+    planning every task onto the batch engine.
 
     Two grid shapes bracket the engine's regimes: the mixed-mode
     RapidSample grid (every round pays general steps for the lossy
@@ -161,17 +161,23 @@ def test_batch_grid_speedup_and_equivalence():
     pytest.importorskip("pytest_benchmark")
     baseline = load_bench_baseline("engine")
 
-    # --- mixed-mode RapidSample grid, through the pools --------------
-    tasks = _grid_tasks()
+    # --- mixed-mode RapidSample grid, through sessions ---------------
+    specs = _grid_specs()
+    tasks = [link for spec in specs for link in spec.expand(spec.seed0)]
     for task in tasks:  # warm the trace store outside the timings
         cached_trace(task.env, task.mode, task.seed, task.duration_s)
         cached_hints(task.mode, task.seed, task.duration_s)
-    fast_pool = ExperimentPool(jobs=1)
-    batch_pool = BatchExperimentPool(jobs=1)
-    t_fast, fast_grid = _best_of_cpu(lambda: fast_pool.throughputs(tasks))
-    t_batch, batch_grid = _best_of_cpu(lambda: batch_pool.throughputs(tasks))
+    fast_session = Session(engine="fast", jobs=1)
+    auto_session = Session(engine="auto", jobs=1)
+    t_fast, fast_runs = _best_of_cpu(lambda: fast_session.map(specs))
+    t_batch, auto_runs = _best_of_cpu(lambda: auto_session.map(specs))
     grid_speedup = t_fast / t_batch
+    fast_grid = [v for run in fast_runs for v in run.throughputs]
+    batch_grid = [v for run in auto_runs for v in run.throughputs]
     assert batch_grid == fast_grid, "batch grid diverged from fast grid"
+    assert all(run.engine == "batch" for run in auto_runs), (
+        "auto stopped batching the 64-task grid"
+    )
 
     # --- fig 3-1 style fixed-rate grid, engine level -----------------
     cases = _fixed_grid_cases()

@@ -27,7 +27,7 @@ from conftest import (
     write_bench_artifact,
 )
 
-from repro.experiments.fig5_net import warm_scenario_task
+from repro.api.executor import warm_network_task
 from repro.network import make_scenario, run_scenario
 
 _SEED = 5
@@ -42,7 +42,7 @@ def _dense(engine: str):
 def _warm_store() -> None:
     scenario = _dense("reference")
     for i in range(scenario.n_stations):
-        warm_scenario_task(("dense_cell", _SEED, None, i))
+        warm_network_task(("dense_cell", _SEED, None, (), i))
 
 
 def _best_of_cpu(fn, rounds=3):

@@ -41,9 +41,8 @@ power, phy
 analysis
     Loss-lag correlation (Figure 3-1) and statistics helpers.
 experiments
-    One driver per paper table/figure plus the parallel executor
-    (``experiments.parallel``) and the full-suite runner; see DESIGN.md
-    for the index.
+    One driver per paper table/figure and the full-suite runner; each
+    driver runs its work through a ``repro.api.Session``.
 """
 
 __version__ = "1.0.0"

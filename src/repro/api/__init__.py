@@ -19,9 +19,7 @@ provenance seeds.
     print(run.throughputs, run.engine, run.elapsed_s)
 
 Every figure driver, the runner and the examples go through this layer;
-the legacy hand-wired entry points (``ExperimentPool``,
-``BatchExperimentPool``, per-driver ``jobs=`` arguments) remain as thin
-deprecation shims over it.  This surface is pinned by
+it is the only way work is executed.  This surface is pinned by
 ``tests/test_api_surface.py`` -- grow it deliberately.
 """
 

@@ -2,23 +2,19 @@
 
 The execution substrate reads two environment knobs -- ``REPRO_JOBS``
 (worker-process count) and ``REPRO_TRACE_STORE`` (on-disk trace-store
-root).  Historically a malformed value surfaced badly: the parallel
-executor swallowed non-integer ``REPRO_JOBS`` and silently ran serial,
-while a pathological store path (an embedded NUL byte, a root that is a
-regular file) raised a bare ``ValueError``/``OSError`` deep inside
-:mod:`repro.channel.store` on the first cache access, far from the
-misconfiguration.
-
-:class:`~repro.api.session.Session` is the public entry point, so it
-validates its whole configuration at construction through the resolvers
-here and raises one clear :class:`ConfigError` naming the offending
-knob and value.  The legacy helpers keep their forgiving behaviour for
-backward compatibility; new code goes through the session.
+root).  :class:`~repro.api.session.Session` is the public entry point,
+so it validates its whole configuration at construction through the
+resolvers here and raises one clear :class:`ConfigError` naming the
+offending knob and value -- instead of truncating a non-integer job
+count, or letting a pathological store path (an embedded NUL byte, a
+root that is a regular file) raise a bare ``ValueError``/``OSError``
+deep inside :mod:`repro.channel.store` on the first cache access.
 """
 
 from __future__ import annotations
 
 import os
+from numbers import Integral
 from pathlib import Path
 
 __all__ = ["ConfigError", "SESSION_ENGINES", "resolve_engine",
@@ -52,20 +48,13 @@ def resolve_engine(engine: str) -> str:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Worker-process count from the argument, the process-wide default
-    (:func:`repro.experiments.parallel.set_default_jobs`, which the
-    runner's ``--jobs`` flag sets), or ``REPRO_JOBS`` -- in that order,
-    like the legacy pools.
+    """Worker-process count from the argument, else ``REPRO_JOBS``,
+    else 1.
 
-    Whichever source applies must be an integer >= 1; anything else
-    raises :class:`ConfigError` (the legacy
-    :func:`repro.experiments.parallel.default_jobs` silently fell back
-    to 1, hiding typos like ``REPRO_JOBS=four``).
+    Whichever source applies must be an integer >= 1; anything else --
+    ``REPRO_JOBS=four``, ``jobs=2.5``, ``jobs=True`` -- raises
+    :class:`ConfigError` instead of being truncated or ignored.
     """
-    if jobs is None:
-        from ..experiments.parallel import configured_default_jobs
-
-        jobs = configured_default_jobs()
     if jobs is not None:
         source = f"jobs={jobs!r}"
         value = jobs
@@ -75,12 +64,13 @@ def resolve_jobs(jobs: int | None) -> int:
             return 1
         source = f"{_JOBS_ENV}={raw!r}"
         value = raw
+    not_integer = ConfigError(f"{source} is not an integer worker count")
+    if isinstance(value, bool) or not isinstance(value, (Integral, str)):
+        raise not_integer
     try:
         count = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"{source} is not an integer worker count"
-        ) from None
+    except ValueError:
+        raise not_integer from None
     if count < 1:
         raise ConfigError(f"{source} must be >= 1")
     return count

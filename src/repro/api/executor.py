@@ -2,19 +2,18 @@
 
 A planned workload is a list of :class:`LinkTask` / :class:`NetworkTask`
 values -- specs with their seed resolved and their replay engine chosen
--- mapped over :class:`~repro.experiments.parallel.ExperimentPool`
-workers by the top-level functions here.  Imports inside the workers
-are lazy (like the legacy :mod:`repro.experiments.parallel` workers)
-so spawning the module in a worker process stays cheap.
+-- mapped over the session's worker processes by the top-level
+functions here.  Imports inside the workers are lazy so spawning the
+module in a worker process stays cheap.
 
 Equivalence contract: for the same (protocol, env/mode or segments,
 seed, traffic), :func:`run_link_task` and :func:`run_link_group`
-produce **bit-identical** :class:`~repro.mac.SimResult`\\ s to the
-legacy ``run_throughput_task`` / ``run_batch_tasks`` paths -- they
+produce **bit-identical** :class:`~repro.mac.SimResult`\\ s -- they
 build the same controllers, traces, hint series and ``SimConfig``
 seeds, and the engines themselves are pinned bit-identical.  The
 best-SampleRate reduction keeps the first window maximising throughput,
-matching the legacy ``max()`` over window throughputs exactly.
+the same choice as ``max()`` over the window throughputs
+(:func:`repro.experiments.common.best_samplerate_throughput`).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ __all__ = [
     "run_link_task",
     "run_link_group",
     "run_network_task",
-    "warm_script_task",
+    "warm_link_task",
     "warm_network_task",
 ]
 
@@ -90,7 +89,7 @@ def _controllers(task: LinkTask) -> list:
 
 
 def _best(results: list):
-    """First result maximising throughput (== legacy ``max`` of floats)."""
+    """First result maximising throughput (``max`` of the throughputs)."""
     best = results[0]
     for result in results[1:]:
         if result.throughput_mbps > best.throughput_mbps:
@@ -119,8 +118,7 @@ def run_link_group(tasks: tuple):
     All tasks share (protocol, traffic model, best-SampleRate); the
     batch engine replays the whole ragged group in lockstep (candidate
     SampleRate windows expand into extra links and reduce back to the
-    per-task best).  Mirrors
-    :func:`repro.experiments.parallel.run_batch_tasks` link for link.
+    per-task best).
     """
     from ..mac import SimConfig, TcpSource, UdpSource
     from ..mac.batch import BatchLinkSpec, run_batch
@@ -143,33 +141,37 @@ def run_link_group(tasks: tuple):
     return [_best(results[lo:hi]) for lo, hi in spans]
 
 
-def warm_script_task(args: tuple) -> None:
-    """Top-level worker: generate one segments-script artefact.
+def warm_link_task(args: tuple) -> None:
+    """Top-level worker: generate one link-replay store artefact.
 
-    ``("trace", env, segments, seed)`` or ``("hints", segments, seed)``
-    -- the explicit-script twin of the legacy
-    :func:`repro.experiments.parallel.warm_cache_task`, so grids of
-    hand-built-script replays (e.g. the supermarket example's workload)
-    fill a cold store one artefact per worker too.
+    Tagged tasks -- ``("trace", env, mode, seed, duration_s)``,
+    ``("hints", mode, seed, duration_s)``, ``("script_trace", env,
+    segments, seed)`` or ``("script_hints", segments, seed)`` -- so a
+    session warms the *unique* artefacts of a grid in one pass before
+    the grid fans out: on a cold store each trace and hint series is
+    synthesised by exactly one worker instead of by every worker whose
+    replays happen to share it.
     """
-    from ..experiments.common import cached_script_hints, cached_script_trace
+    from ..experiments import common
 
     kind, *rest = args
-    if kind == "trace":
-        cached_script_trace(*rest)
-    elif kind == "hints":
-        cached_script_hints(*rest)
-    else:
+    builders = {
+        "trace": common.cached_trace,
+        "hints": common.cached_hints,
+        "script_trace": common.cached_script_trace,
+        "script_hints": common.cached_script_hints,
+    }
+    if kind not in builders:
         raise ValueError(f"unknown warm task kind {kind!r}")
+    builders[kind](*rest)
 
 
 def warm_network_task(args: tuple) -> None:
     """Top-level worker: generate one station's trace + hint artefacts.
 
-    ``(scenario, seed, duration_s, overrides, station_index)`` -- the
-    overrides-aware twin of the legacy
-    :func:`repro.experiments.fig5_net.warm_scenario_task`, so sessions
-    warm exactly the worlds their specs describe.
+    ``(scenario, seed, duration_s, overrides, station_index)`` -- one
+    store artefact pair per worker call, so sessions fill a cold store
+    with exactly the worlds their specs describe.
     """
     from ..network import make_scenario, station_hints, station_trace
 

@@ -2,13 +2,12 @@
 
 Pure functions from task descriptors to an execution plan, so the
 policy is unit-testable without running a simulator.  The link-grid
-policy under ``engine="auto"`` is **exactly** the heuristic
-:class:`~repro.experiments.parallel.BatchExperimentPool` has always
-applied -- group by ``(protocol, traffic, best-SampleRate)``, send
-groups of at least ``min_batch`` to the batch engine in chunks of at
-most ``batch_size`` links, fall back to the per-task fast engine for
-the rest -- which is what makes ``auto`` bit-identical to *and no
-slower than* the hand-picked pool (guarded in ``benchmarks/``).
+policy under ``engine="auto"``: group by ``(protocol, traffic,
+best-SampleRate)``, send groups of at least :data:`MIN_BATCH` tasks to
+the batch engine in chunks of at most :data:`BATCH_SIZE` links, and
+fall back to the per-task fast engine for the rest.  Every engine is
+bit-identical, so the plan only decides speed (``auto`` against forced
+``fast`` is guarded in ``benchmarks/test_bench_engine.py``).
 """
 
 from __future__ import annotations
@@ -18,12 +17,22 @@ from dataclasses import dataclass
 from .config import ConfigError
 
 __all__ = [
+    "BATCH_SIZE",
+    "MIN_BATCH",
     "NETWORK_BATCH_MIN_STATIONS",
     "LinkPlan",
     "plan_link_tasks",
     "resolve_link_engine",
     "resolve_network_engine",
 ]
+
+#: Most links one batch-engine call replays; larger groups split into
+#: chunks of this size.
+BATCH_SIZE = 64
+
+#: Smallest task group ``engine="auto"`` sends to the batch engine;
+#: smaller groups replay per task on the fast engine.
+MIN_BATCH = 2
 
 #: ``engine="auto"`` scenarios with at least this many stations replay
 #: on the batch scenario engine (bit-identical; its SoA passes amortise
@@ -38,7 +47,7 @@ class LinkPlan:
     ``chunks`` are index groups replayed by one batch-engine call each;
     ``singles`` replay per-task on ``engines[i]``.  ``engines`` is
     parallel to the task list and covers every task (chunk members are
-    ``"batch"``).  Chunk-first execution order matches the legacy pool.
+    ``"batch"``).  Sessions run the chunks first, then the singles.
     """
 
     chunks: tuple[tuple[int, ...], ...]
@@ -72,17 +81,17 @@ def resolve_network_engine(engine: str, n_stations: int) -> str:
 def plan_link_tasks(
     keys: list,
     engine: str,
-    batch_size: int = 64,
-    min_batch: int = 2,
+    batch_size: int = BATCH_SIZE,
+    min_batch: int = MIN_BATCH,
 ) -> LinkPlan:
     """Plan link tasks given their batchability keys.
 
     ``keys[i]`` is task *i*'s grouping key -- ``(protocol, tcp,
-    best_samplerate)``, the legacy pool's -- and tasks sharing a key
-    may replay in one ragged batch.  ``engine`` is the session
-    preference: ``fast``/``reference`` force per-task replays,
-    ``batch`` forces batch groups (even of one), and ``auto`` applies
-    the legacy :class:`BatchExperimentPool` heuristic verbatim.
+    best_samplerate)`` -- and tasks sharing a key may replay in one
+    ragged batch.  ``engine`` is the session preference:
+    ``fast``/``reference`` force per-task replays, ``batch`` forces
+    batch groups (even of one), and ``auto`` batches groups of at least
+    ``min_batch`` tasks.
     """
     if batch_size < 1:
         raise ConfigError("batch_size must be positive")

@@ -44,7 +44,7 @@ class NetworkSummary:
         )
 
     def to_dict(self) -> dict:
-        """The legacy grid-row dict shape (drivers aggregate this)."""
+        """The plain grid-row dict shape (drivers aggregate this)."""
         return {
             "aggregate_mbps": self.aggregate_mbps,
             "stations_mbps": dict(self.stations_mbps),

@@ -7,16 +7,15 @@ and the engine preference -- and validates all of it eagerly (one
 :class:`~repro.api.config.ConfigError` instead of scattered failures).
 :meth:`Session.run` / :meth:`Session.map` then *plan* each declarative
 spec: grid tasks are grouped by batchability and dispatched to the
-batch engine, the per-task fast engine, or worker processes exactly
-where :class:`~repro.experiments.parallel.BatchExperimentPool`'s
-heuristics always lived (see :mod:`repro.api.planner`), network
-scenarios pick the batch scenario engine when the cell is dense enough
-to amortise it, and cold trace stores are pre-warmed one artefact per
-worker before any grid fans out.
+batch engine or the per-task fast engine (see :mod:`repro.api.planner`)
+and fanned over worker processes, network scenarios pick the batch
+scenario engine when the cell is dense enough to amortise it, and cold
+trace stores are pre-warmed one artefact per worker before any grid
+fans out.
 
-Everything is bit-identical to the legacy hand-wired paths: the same
-controllers, traces, seeds and (pinned-equivalent) engines, so a
-driver ported to specs reproduces its old numbers exactly.
+Results are identical for every engine and job count: the engines are
+pinned bit-identical, task seeds never depend on batch position or
+worker, and results are collected in submission order.
 
 >>> from repro.api import GridSpec, Session
 >>> session = Session(jobs=1)
@@ -29,6 +28,7 @@ driver ported to specs reproduces its old numbers exactly.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 from ..channel.store import get_store, set_store_root
 from ..core.seeds import derive_seed
@@ -39,8 +39,8 @@ from .executor import (
     run_link_group,
     run_link_task,
     run_network_task,
+    warm_link_task,
     warm_network_task,
-    warm_script_task,
 )
 from .planner import plan_link_tasks, resolve_network_engine
 from .results import RunResult
@@ -70,8 +70,6 @@ class Session:
     seed:
         Base seed of this session's :func:`derive_seed` lineage; specs
         with ``seed=None`` get collision-free seeds minted from it.
-    batch_size, min_batch:
-        Batch-engine grouping knobs (the legacy pool's defaults).
     """
 
     def __init__(
@@ -80,18 +78,10 @@ class Session:
         jobs: int | None = None,
         store: str | None = None,
         seed: int = 0,
-        batch_size: int = 64,
-        min_batch: int = 2,
     ) -> None:
         self.engine = resolve_engine(engine)
         self.jobs = resolve_jobs(jobs)
         self.seed = int(seed)
-        if batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if min_batch < 1:
-            raise ConfigError("min_batch must be >= 1")
-        self.batch_size = int(batch_size)
-        self.min_batch = int(min_batch)
         root = resolve_store_root(store)
         if store is not None:
             set_store_root(root)
@@ -127,8 +117,6 @@ class Session:
         single-mode grids batch as one workload; results come back in
         spec order regardless of how the plan interleaved them.
         """
-        from ..experiments.parallel import ExperimentPool, warm_cache_task
-
         start = time.perf_counter()
         specs = list(specs)
         pending_links: list[tuple[int, LinkReplaySpec]] = []
@@ -152,16 +140,13 @@ class Session:
                     f"LinkReplaySpec, GridSpec or NetworkRunSpec"
                 )
 
-        pool = ExperimentPool(self.jobs)
-        self._warm_links([link for _, link in pending_links], pool,
-                         warm_cache_task)
-        self._warm_networks([task for _, task in pending_nets], pool)
+        self._warm_links([link for _, link in pending_links])
+        self._warm_networks([task for _, task in pending_nets])
 
-        # --- link tasks: plan, then chunks first (the legacy order) ---
+        # --- link tasks: plan, then chunks first, then singles --------
         keys = [(link.protocol, link.tcp, link.best_samplerate)
                 for _, link in pending_links]
-        plan = plan_link_tasks(keys, self.engine, self.batch_size,
-                               self.min_batch)
+        plan = plan_link_tasks(keys, self.engine)
         tasks = [
             LinkTask(protocol=link.protocol, env=link.env, mode=link.mode,
                      seed=link.seed, duration_s=link.duration_s,
@@ -170,20 +155,20 @@ class Session:
             for i, (_, link) in enumerate(pending_links)
         ]
         link_results: list = [None] * len(tasks)
-        chunk_results = pool.map(
+        chunk_results = self.scatter(
             run_link_group, [tuple(tasks[i] for i in chunk)
                              for chunk in plan.chunks])
         for chunk, values in zip(plan.chunks, chunk_results):
             for i, value in zip(chunk, values):
                 link_results[i] = value
         for i, value in zip(plan.singles,
-                            pool.map(run_link_task,
-                                     [tasks[i] for i in plan.singles])):
+                            self.scatter(run_link_task,
+                                         [tasks[i] for i in plan.singles])):
             link_results[i] = value
 
         # --- network tasks --------------------------------------------
-        net_results = pool.map(run_network_task,
-                               [task for _, task in pending_nets])
+        net_results = self.scatter(run_network_task,
+                                   [task for _, task in pending_nets])
 
         elapsed = time.perf_counter() - start
         out: list[RunResult] = []
@@ -195,7 +180,7 @@ class Session:
                     results=tuple(link_results[i] for i in window),
                     task_engines=tuple(plan.engines[i] for i in window),
                     seeds=tuple(pending_links[i][1].seed for i in window),
-                    jobs=pool.jobs,
+                    jobs=self.jobs,
                     elapsed_s=elapsed,
                 ))
             else:
@@ -205,22 +190,29 @@ class Session:
                     results=(net_results[offset],),
                     task_engines=(task.engine,),
                     seeds=(task.seed,),
-                    jobs=pool.jobs,
+                    jobs=self.jobs,
                     elapsed_s=elapsed,
                 ))
         return out
 
     def scatter(self, fn, items) -> list:
-        """Ordered pool map of an arbitrary picklable worker.
+        """``[fn(item) for item in items]`` over this session's workers.
 
-        The escape hatch for fan-outs that are not replay specs (trace
-        synthesis sweeps, vehicular network ensembles): same ordered
-        collection and determinism guarantees as :meth:`map`, same
-        worker count, no planning.
+        Results come back in submission order whatever the completion
+        order; one job (or at most one item) runs serially in-process,
+        with no pool to spin up.  :meth:`map` fans its planned tasks out
+        through here, and it is the escape hatch for fan-outs that are
+        not replay specs (trace synthesis sweeps, vehicular network
+        ensembles): same determinism guarantees, no planning.
         """
-        from ..experiments.parallel import ExperimentPool
-
-        return ExperimentPool(self.jobs).map(fn, items)
+        items = list(items)
+        if self.jobs <= 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        workers = min(self.jobs, len(items))
+        # A few chunks per worker balances stragglers against IPC.
+        chunksize = max(1, len(items) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            return list(executor.map(fn, items, chunksize=chunksize))
 
     # ------------------------------------------------------------------
     # Seed lineage
@@ -257,9 +249,9 @@ class Session:
                            overrides=spec.overrides, engine=engine)
 
     # ------------------------------------------------------------------
-    # Store pre-warm (one worker per unique artefact, like the drivers)
+    # Store pre-warm (one worker call per unique artefact)
     # ------------------------------------------------------------------
-    def _warm_links(self, links, pool, warm_cache_task) -> None:
+    def _warm_links(self, links) -> None:
         """Cold-store pre-warm for link grids (parallel runs only).
 
         Protocol replays sharing a (env, mode, seed) trace -- or a
@@ -267,36 +259,22 @@ class Session:
         one worker each; on a warm store this is a cheap no-op pass.
         Serial runs warm lazily through the caches.
         """
-        if pool.jobs <= 1 or not get_store().enabled:
+        if self.jobs <= 1 or not get_store().enabled:
             return
-        warm: list[tuple] = []
-        seen: set[tuple] = set()
-        hints: list[tuple] = []
-        script_warm: list[tuple] = []
+        traces: dict[tuple, None] = {}
+        hints: dict[tuple, None] = {}
         for link in links:
             if link.segments is not None:
-                trace_key = ("trace", link.env, link.segments, link.seed)
-                hint_key = ("hints", link.segments, link.seed)
-                for key in (trace_key, hint_key):
-                    if key not in seen:
-                        seen.add(key)
-                        script_warm.append(key)
-                continue
-            trace_key = ("trace", link.env, link.mode, link.seed,
-                         link.duration_s)
-            if trace_key not in seen:
-                seen.add(trace_key)
-                warm.append(trace_key)
-            hint_key = ("hints", link.mode, link.seed, link.duration_s)
-            if hint_key not in seen:
-                seen.add(hint_key)
-                hints.append(hint_key)
-        if warm or hints:
-            pool.map(warm_cache_task, warm + hints)
-        if script_warm:
-            pool.map(warm_script_task, script_warm)
+                traces[("script_trace", link.env, link.segments,
+                        link.seed)] = None
+                hints[("script_hints", link.segments, link.seed)] = None
+            else:
+                traces[("trace", link.env, link.mode, link.seed,
+                        link.duration_s)] = None
+                hints[("hints", link.mode, link.seed, link.duration_s)] = None
+        self.scatter(warm_link_task, [*traces, *hints])
 
-    def _warm_networks(self, tasks, pool) -> None:
+    def _warm_networks(self, tasks) -> None:
         """Per-station artefact pre-warm for scenario replays.
 
         One (trace, hints) pair per worker call; policy and engine
@@ -323,5 +301,4 @@ class Session:
                                      duration_s=task.duration_s,
                                      **dict(task.overrides))
             warm += [world + (i,) for i in range(scenario.n_stations)]
-        if warm:
-            pool.map(warm_network_task, warm)
+        self.scatter(warm_network_task, warm)

@@ -3,8 +3,8 @@
 Trace generation (fading synthesis + per-slot fate draws) dominates the
 cost of many experiment drivers, and the same (environment, motion,
 seed, duration) traces are shared between figures, between repeated
-runs, and -- with the parallel executor -- between worker processes that
-cannot share an in-process ``lru_cache``.  The store persists each
+runs, and -- with a multi-job :class:`repro.api.Session` -- between
+worker processes that cannot share an in-process ``lru_cache``.  The store persists each
 generated :class:`~repro.channel.trace.ChannelTrace` (and the hint
 series derived from the same motion script) as a compressed ``.npz``
 addressed by a digest of its generating parameters, so every consumer

@@ -2,8 +2,8 @@
 
 Lives in :mod:`repro.core` so low-level packages (the network
 simulator, the vehicular substrate) can mint collision-free seeds
-without importing the experiment drivers; :mod:`repro.experiments.
-parallel` re-exports it for the task-grid code.
+without importing the experiment drivers; :class:`repro.api.Session`
+mints its seed lineage with it.
 """
 
 from __future__ import annotations

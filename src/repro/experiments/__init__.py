@@ -1,6 +1,6 @@
-"""Experiment drivers: one module per paper table/figure (see DESIGN.md
-for the experiment index).  Each exposes ``run(...) -> dict`` and a
-printing ``main()``; ``runner.main()`` runs the full evaluation."""
+"""Experiment drivers: one module per paper table/figure.  Each exposes
+``run(...) -> dict`` and a printing ``main()``; ``runner.main()`` runs
+the full evaluation."""
 
 from . import (
     common,
@@ -14,14 +14,12 @@ from . import (
     fig4_x,
     fig5_1,
     fig5_net,
-    parallel,
     route_stability,
     table5_1,
 )
 
 __all__ = [
     "common",
-    "parallel",
     "fig2_2",
     "fig3_1",
     "fig3_5",

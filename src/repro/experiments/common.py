@@ -6,8 +6,8 @@ displays -- plus a ``main()`` that prints it.  Heavy intermediates
 (traces, hint series) are memoised at two levels: an in-process
 ``lru_cache`` for the figures of one run, layered over the on-disk
 content-addressed :mod:`repro.channel.store`, which repeated runs and
-:class:`~repro.experiments.parallel.ExperimentPool` worker processes
-share instead of regenerating traces per process.
+:class:`repro.api.Session` worker processes share instead of
+regenerating traces per process.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ determine the best SampleRate parameter to use in each case").
 The full grid (environments x traces x protocols) is declared as one
 :class:`repro.api.GridSpec` and planned by :class:`repro.api.Session`
 (``engine="auto"`` batches the grid, cold stores are pre-warmed one
-artefact per worker, ``jobs=N``/``--jobs`` fans replays over worker
-processes).  Results are identical for any job count and any engine.
+artefact per worker, ``Session(jobs=N)``/``--jobs`` fans replays over
+worker processes).  Results are identical for any job count and any engine.
 """
 
 from __future__ import annotations
@@ -40,17 +40,15 @@ def run_comparison(
     tcp: bool = True,
     normalise: str = "HintAware",
     seed0: int = 0,
-    jobs: int | None = None,
     session: Session | None = None,
 ) -> dict:
     """Mean normalised throughput per protocol per environment.
 
     Returns ``{env: {protocol: normalised mean}}`` plus confidence
-    half-widths and the absolute reference throughput.  ``jobs`` is the
-    legacy shim for callers without a session.
+    half-widths and the absolute reference throughput.
     """
     if session is None:
-        session = Session(jobs=jobs)
+        session = Session()
     protocols = list(RATE_PROTOCOLS)
     grid = GridSpec(
         protocols=tuple(protocols),
@@ -88,16 +86,16 @@ def run_comparison(
     return out
 
 
-def run(seed: int = 0, n_traces: int = 10, jobs: int | None = None,
+def run(seed: int = 0, n_traces: int = 10,
         session: Session | None = None) -> dict:
     """Figure 3-5 proper: mixed-mobility TCP, normalised to hint-aware."""
-    return run_comparison("mixed", n_traces=n_traces, seed0=seed, jobs=jobs,
+    return run_comparison("mixed", n_traces=n_traces, seed0=seed,
                           session=session)
 
 
-def main(seed: int = 0, n_traces: int = 10, jobs: int | None = None,
+def main(seed: int = 0, n_traces: int = 10,
          session: Session | None = None) -> dict:
-    result = run(seed, n_traces, jobs=jobs, session=session)
+    result = run(seed, n_traces, session=session)
     for env, data in result["envs"].items():
         print_table(
             f"Figure 3-5 ({env}): throughput / hint-aware, mixed mobility",

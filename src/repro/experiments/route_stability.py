@@ -28,14 +28,13 @@ def run(
     duration_s: int = 300,
     n_pairs_per_network: int = 30,
     seed0: int = 0,
-    jobs: int | None = None,
     session: Session | None = None,
 ) -> dict:
     # Dense downtown traffic (the paper's taxi networks): routes to
     # nearby infrastructure over 2-3 hops.  Network simulations are
     # independent, so they fan out over the session's workers.
     if session is None:
-        session = Session(jobs=jobs)
+        session = Session()
     networks = session.scatter(
         _simulate_network,
         [(n_vehicles, duration_s, seed0 + i) for i in range(n_networks)],
@@ -52,10 +51,9 @@ def run(
     }
 
 
-def main(seed: int = 0, n_networks: int = 6, jobs: int | None = None,
+def main(seed: int = 0, n_networks: int = 6,
          session: Session | None = None) -> dict:
-    result = run(n_networks=n_networks, seed0=seed, jobs=jobs,
-                 session=session)
+    result = run(n_networks=n_networks, seed0=seed, session=session)
     print_table("Route stability: CTE vs min-hop", {
         "median CTE route lifetime (s)": result["median_cte_lifetime_s"],
         "median min-hop lifetime (s)": result["median_minhop_lifetime_s"],

@@ -29,7 +29,6 @@ from . import (
     fig4_x,
     fig5_1,
     fig5_net,
-    parallel,
     route_stability,
     table5_1,
 )
@@ -58,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def session_from_args(args: argparse.Namespace) -> Session:
     """The one session every stage runs through."""
-    if args.jobs is not None:
-        # Legacy shim: code paths that still consult the process-wide
-        # default (external drivers without a session) stay consistent.
-        parallel.set_default_jobs(args.jobs)
     return Session(engine=args.engine, jobs=args.jobs, store=args.store,
                    seed=args.seed)
 

@@ -32,7 +32,6 @@ def run(
     n_vehicles: int = 100,
     duration_s: int = 300,
     seed0: int = 0,
-    jobs: int | None = None,
     session: Session | None = None,
 ) -> dict:
     """Simulate the ensemble and aggregate all links, like the paper.
@@ -42,7 +41,7 @@ def run(
     aggregated in network order, identical to the serial loop.
     """
     if session is None:
-        session = Session(jobs=jobs)
+        session = Session()
     tasks = [(n_vehicles, duration_s, seed0 + i) for i in range(n_networks)]
     all_links = [
         link
@@ -59,10 +58,9 @@ def run(
     }
 
 
-def main(seed: int = 0, n_networks: int = 15, jobs: int | None = None,
+def main(seed: int = 0, n_networks: int = 15,
          session: Session | None = None) -> dict:
-    result = run(n_networks=n_networks, seed0=seed, jobs=jobs,
-                 session=session)
+    result = run(n_networks=n_networks, seed0=seed, session=session)
     print_table("Table 5.1: median link duration (s) by heading difference", {
         **result["medians_s"],
         "links observed": result["n_links"],

@@ -32,9 +32,8 @@ by ``SimConfig(engine=...)``:
 * ``"batch"`` -- the :mod:`repro.mac.batch` array program that replays
   many links in lockstep (here, a batch of one).  Its reason to exist is
   grid executors -- :class:`repro.api.Session` plans grids onto it
-  (``engine="auto"``), and the legacy
-  :class:`repro.experiments.parallel.BatchExperimentPool` dispatches to
-  it directly; per-link results are bit-identical to the other engines.
+  (``engine="auto"``); per-link results are bit-identical to the other
+  engines.
 
 Randomness is split into four independent streams spawned from
 ``SeedSequence(config.seed)`` -- calibration bias, SNR observation noise,

@@ -4,9 +4,9 @@ A :class:`NetworkScenario` describes one multi-station, multi-AP world
 declaratively: which stations exist, how each one moves, what traffic it
 offers, which rate protocol it runs, where the APs sit, and how hints
 and association are handled.  Scenarios are frozen dataclasses of plain
-values, so they pickle across :class:`~repro.experiments.parallel.
-ExperimentPool` workers and their fields can key the on-disk trace
-store (every per-station artefact is a pure function of the scenario).
+values, so they pickle across :class:`repro.api.Session` worker
+processes and their fields can key the on-disk trace store (every
+per-station artefact is a pure function of the scenario).
 
 Mobility is a *recipe string*, not a script object, for exactly that
 reason: :mod:`repro.network.traces` expands each recipe into a

@@ -1,5 +1,5 @@
 """Session behaviour: config hardening, planning, and bit-equivalence
-with the legacy hand-wired execution paths."""
+with serial per-task replays."""
 
 import numpy as np
 import pytest
@@ -12,14 +12,15 @@ from repro.api import (
     Session,
 )
 from repro.api.planner import (
+    BATCH_SIZE,
+    MIN_BATCH,
     NETWORK_BATCH_MIN_STATIONS,
     plan_link_tasks,
     resolve_network_engine,
 )
-from repro.experiments.parallel import (
-    BatchExperimentPool,
-    ExperimentPool,
-    ThroughputTask,
+from repro.experiments.common import (
+    best_samplerate_throughput,
+    protocol_throughput,
 )
 
 
@@ -27,16 +28,9 @@ from repro.experiments.parallel import (
 # Config hardening: one clear ConfigError from the session
 # ----------------------------------------------------------------------
 class TestConfigErrors:
-    @pytest.fixture(autouse=True)
-    def _no_process_default_jobs(self, monkeypatch):
-        # Isolate from any set_default_jobs() call elsewhere: these
-        # tests exercise the environment-variable path.
-        from repro.experiments import parallel
-
-        monkeypatch.setattr(parallel, "_DEFAULT_JOBS", None)
-
-    def test_malformed_repro_jobs_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "four")
+    @pytest.mark.parametrize("value", ["four", "2.5", "True", ""])
+    def test_malformed_repro_jobs_env(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_JOBS", value)
         with pytest.raises(ConfigError, match="REPRO_JOBS"):
             Session()
 
@@ -54,9 +48,24 @@ class TestConfigErrors:
         monkeypatch.setenv("REPRO_JOBS", "broken")
         assert Session(jobs=2).jobs == 2
 
+    def test_unset_repro_jobs_runs_serial(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert Session().jobs == 1
+
     def test_explicit_bad_jobs(self):
         with pytest.raises(ConfigError, match="jobs"):
             Session(jobs=0)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "2.5", [2]])
+    def test_non_integer_jobs_rejected(self, value):
+        # Same inputs the REPRO_JOBS path rejects: never truncated
+        # (2.5 -> 2) or read as a count (True -> 1).
+        with pytest.raises(ConfigError, match="not an integer"):
+            Session(jobs=value)
+
+    def test_integer_like_jobs_accepted(self):
+        assert Session(jobs=np.int64(3)).jobs == 3
+        assert Session(jobs="2").jobs == 2
 
     def test_store_with_nul_byte(self):
         # (os.environ itself refuses NUL bytes, so this arrives via the
@@ -81,17 +90,6 @@ class TestConfigErrors:
         session = Session(store=tmp_path / "traces")
         assert session.store.root == tmp_path / "traces"
 
-    def test_set_default_jobs_is_honoured(self, monkeypatch):
-        # The documented process-wide default (runner --jobs sets it)
-        # must reach sessions built without an explicit count.
-        from repro.experiments import parallel
-
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setattr(parallel, "_DEFAULT_JOBS", None)
-        parallel.set_default_jobs(3)
-        assert Session().jobs == 3
-        assert Session(jobs=2).jobs == 2    # explicit argument wins
-
     def test_unknown_engine(self):
         with pytest.raises(ConfigError, match="engine"):
             Session(engine="warp")
@@ -112,7 +110,7 @@ class TestConfigErrors:
 
 
 # ----------------------------------------------------------------------
-# Planning: exactly the legacy BatchExperimentPool heuristics
+# Planning: group by batchability key, chunk, fall back to fast
 # ----------------------------------------------------------------------
 class TestPlanner:
     KEYS = (
@@ -121,7 +119,7 @@ class TestPlanner:
         + [("HintAware", True, False)] * 3
     )
 
-    def test_auto_matches_legacy_grouping(self):
+    def test_auto_grouping(self):
         plan = plan_link_tasks(self.KEYS, "auto", batch_size=4, min_batch=2)
         # RapidSample group of 5 splits at batch_size=4; the singleton
         # SampleRate task falls back to the fast engine.
@@ -142,6 +140,13 @@ class TestPlanner:
         assert plan.singles == tuple(range(len(self.KEYS)))
         assert set(plan.engines) == {engine}
 
+    def test_default_geometry(self):
+        keys = [("RapidSample", False, False)] * (BATCH_SIZE + 1) \
+            + [("SampleRate", True, True)] * (MIN_BATCH - 1)
+        plan = plan_link_tasks(keys, "auto")
+        assert [len(chunk) for chunk in plan.chunks] == [BATCH_SIZE, 1]
+        assert len(plan.singles) == MIN_BATCH - 1
+
     def test_network_engine_resolution(self):
         assert resolve_network_engine("batch", 1) == "batch"
         assert resolve_network_engine("fast", 50) == "reference"
@@ -152,18 +157,19 @@ class TestPlanner:
 
 
 # ----------------------------------------------------------------------
-# Execution: bit-identical to the legacy pools, for every engine
+# Execution: bit-identical to serial per-task replays, for every engine
 # ----------------------------------------------------------------------
 GRID = GridSpec(protocols=("RapidSample", "SampleRate", "HintAware"),
                 envs=("office",), mode="mixed", n_seeds=2, seed0=0,
                 duration_s=4.0, tcp=False)
 
 
-def _legacy_tasks():
+def _serial_throughputs():
+    """GRID replayed one task at a time through the driver helpers."""
     return [
-        ThroughputTask(protocol=p, env="office", mode="mixed", seed=i,
-                       duration_s=4.0, tcp=False,
-                       best_samplerate=(p == "SampleRate"))
+        best_samplerate_throughput("office", "mixed", i, 4.0, False)
+        if p == "SampleRate"
+        else protocol_throughput(p, "office", "mixed", i, 4.0, False)
         for i in range(2)
         for p in ("RapidSample", "SampleRate", "HintAware")
     ]
@@ -171,21 +177,17 @@ def _legacy_tasks():
 
 class TestSessionEquivalence:
     @pytest.fixture(scope="class")
-    def legacy(self):
-        return ExperimentPool(jobs=1).throughputs(_legacy_tasks())
+    def serial(self):
+        return _serial_throughputs()
 
     @pytest.mark.parametrize("engine", ["auto", "fast", "reference", "batch"])
-    def test_grid_matches_legacy_pool_any_engine(self, engine, legacy):
+    def test_grid_matches_serial_any_engine(self, engine, serial):
         run = Session(engine=engine, jobs=1).run(GRID)
-        assert list(run.throughputs) == legacy
+        assert list(run.throughputs) == serial
 
-    def test_grid_matches_batch_pool(self, legacy):
-        assert BatchExperimentPool(jobs=1).throughputs(_legacy_tasks()) \
-            == legacy
-
-    def test_jobs_do_not_change_results(self, legacy):
+    def test_jobs_do_not_change_results(self, serial):
         run = Session(jobs=2).run(GRID)
-        assert list(run.throughputs) == legacy
+        assert list(run.throughputs) == serial
         assert run.jobs == 2
 
     def test_run_result_provenance(self):
@@ -242,10 +244,12 @@ class TestSessionEquivalence:
         stored = list((tmp_path / "store").rglob("*.npz"))
         assert len(stored) == 2    # one trace + one hint series, shared
 
-    def test_scatter_matches_pool_map(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scatter_is_an_ordered_map(self, jobs):
         items = list(range(20))
-        assert Session(jobs=1).scatter(_square, items) \
-            == ExperimentPool(jobs=2).map(_square, items)
+        assert Session(jobs=jobs).scatter(_square, items) \
+            == [x * x for x in items]
+        assert Session(jobs=jobs).scatter(_square, []) == []
 
 
 def _square(x):

@@ -8,6 +8,7 @@ update the pins *deliberately* in the same change.
 """
 
 import dataclasses
+import inspect
 
 import repro
 import repro.api as api
@@ -65,6 +66,11 @@ def test_spec_kind_tags_are_pinned():
         == "grid"
     assert api.NetworkRunSpec(scenario="dense_cell").to_dict()["kind"] \
         == "network_run"
+
+
+def test_session_signature_is_pinned():
+    assert tuple(inspect.signature(api.Session).parameters) == (
+        "engine", "jobs", "store", "seed")
 
 
 def test_session_engines_pinned():

@@ -4,7 +4,7 @@ The cross-engine equivalence suite pins `batch == fast == reference` on
 the evaluation grid; this file exercises the batch engine's own edge
 geometry -- batches of one, ragged trace lengths, early-finishing links,
 empty batches -- plus the spec-level contracts (controller state
-write-back, batch-position independence, pool grouping).
+write-back, batch-position independence, chunk geometry).
 """
 
 import numpy as np
@@ -252,37 +252,50 @@ class TestCruisePaths:
         assert_results_identical(batch, fast)
 
 
-class TestBatchPool:
-    def test_pool_matches_serial_pool(self):
-        from repro.experiments.parallel import (
-            BatchExperimentPool,
-            ExperimentPool,
-            ThroughputTask,
-        )
+class TestChunkGeometry:
+    """How the session chunks a grid must not move a single number."""
 
-        tasks = [
-            ThroughputTask(protocol=p, env=env, mode="mixed", seed=SEED + i,
-                           duration_s=3.0, tcp=False,
-                           best_samplerate=(p == "SampleRate"))
+    def _tasks(self):
+        from repro.api.executor import LinkTask
+
+        return [
+            LinkTask(protocol=p, env=env, mode="mixed", seed=SEED + i,
+                     duration_s=3.0, tcp=False,
+                     best_samplerate=(p == "SampleRate"), segments=None,
+                     engine="batch")
             for i in range(3)
             for p, env in (("RapidSample", "office"),
                            ("SampleRate", "office"),
                            ("HintAware", "hallway"))
         ]
-        serial = ExperimentPool(jobs=1).throughputs(tasks)
-        batched = BatchExperimentPool(jobs=1).throughputs(tasks)
-        assert serial == batched
-        # Grouping geometry must not matter either.
-        chunked = BatchExperimentPool(jobs=1, batch_size=2).throughputs(tasks)
-        assert serial == chunked
-        tiny_groups = BatchExperimentPool(jobs=1, min_batch=64).throughputs(tasks)
-        assert serial == tiny_groups
 
-    def test_pool_parallel_jobs_identical(self):
-        from repro.experiments.parallel import BatchExperimentPool, ThroughputTask
+    def _serial(self, tasks):
+        from repro.experiments.common import (
+            best_samplerate_throughput,
+            protocol_throughput,
+        )
 
-        tasks = [ThroughputTask(protocol="RapidSample", env="office",
-                                mode="mixed", seed=SEED + i, duration_s=3.0,
-                                tcp=False) for i in range(4)]
-        assert BatchExperimentPool(jobs=1).throughputs(tasks) == \
-            BatchExperimentPool(jobs=2).throughputs(tasks)
+        return [
+            best_samplerate_throughput(t.env, t.mode, t.seed, t.duration_s,
+                                       t.tcp)
+            if t.best_samplerate
+            else protocol_throughput(t.protocol, t.env, t.mode, t.seed,
+                                     t.duration_s, t.tcp)
+            for t in tasks
+        ]
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_chunks_match_serial(self, width):
+        from repro.api.executor import run_link_group
+        from repro.api.planner import plan_link_tasks
+
+        tasks = self._tasks()
+        keys = [(t.protocol, t.tcp, t.best_samplerate) for t in tasks]
+        plan = plan_link_tasks(keys, "batch", batch_size=width)
+        assert max(map(len, plan.chunks)) == width
+        results = [None] * len(tasks)
+        for chunk in plan.chunks:
+            group = run_link_group(tuple(tasks[i] for i in chunk))
+            for i, result in zip(chunk, group):
+                results[i] = result.throughput_mbps
+        assert results == self._serial(tasks)

@@ -14,8 +14,8 @@ executable specification), ``fast`` (the scalar hot path) and ``batch``
   hand-picked -- including whole heterogeneous batches replayed in one
   lockstep call against their standalone twins.
 
-It also pins the parallel executors' determinism against serial
-execution (both the process pool and the batch pool).
+It also pins :class:`repro.api.Session`'s determinism against serial
+per-task execution, for every engine and job count.
 """
 
 import pickle
@@ -25,18 +25,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import fig3_5
+from repro.api import GridSpec, Session
+from repro.core.seeds import derive_seed
 from repro.experiments.common import (
     RATE_PROTOCOLS,
+    best_samplerate_throughput,
     cached_hints,
     cached_trace,
-)
-from repro.experiments.parallel import (
-    BatchExperimentPool,
-    ExperimentPool,
-    ThroughputTask,
-    derive_seed,
-    run_throughput_task,
+    protocol_throughput,
 )
 from repro.mac import (
     BatchLinkSpec,
@@ -181,54 +177,36 @@ class TestDifferentialFuzz:
             assert_results_identical(batched, _fuzz_replay(cfg, "fast"))
 
 
-class TestPoolDeterminism:
-    def _tasks(self):
+#: The serial-reference grid: every protocol, two mixed-mode seeds.
+DETERMINISM_GRID = GridSpec(
+    protocols=tuple(sorted(RATE_PROTOCOLS)), envs=("office",), mode="mixed",
+    n_seeds=2, seed0=GOLDEN_SEED, duration_s=DURATION_S,
+    best_samplerate_protocols=("SampleRate",),
+)
+
+
+class TestSessionDeterminism:
+    @pytest.fixture(scope="class")
+    def serial(self):
+        """DETERMINISM_GRID replayed one task at a time, in grid order."""
+        grid = DETERMINISM_GRID
         return [
-            ThroughputTask(protocol=p, env="office", mode="mixed",
-                           seed=GOLDEN_SEED + i, duration_s=DURATION_S,
-                           best_samplerate=(p == "SampleRate"))
-            for i in range(2)
-            for p in sorted(RATE_PROTOCOLS)
+            best_samplerate_throughput("office", grid.mode, seed,
+                                       grid.duration_s, grid.tcp)
+            if protocol == "SampleRate"
+            else protocol_throughput(protocol, "office", grid.mode, seed,
+                                     grid.duration_s, grid.tcp)
+            for seed in range(grid.seed0, grid.seed0 + grid.n_seeds)
+            for protocol in grid.protocols
         ]
 
-    def test_parallel_matches_serial(self):
-        tasks = self._tasks()
-        serial = ExperimentPool(jobs=1).throughputs(tasks)
-        parallel = ExperimentPool(jobs=2).throughputs(tasks)
-        assert serial == parallel
-        assert serial == [run_throughput_task(t) for t in tasks]
-
-    def test_batch_pool_matches_process_pool(self):
-        """The batch executor is a drop-in for the process pool: same
-        grid, same numbers, for any grouping or job count."""
-        tasks = self._tasks()
-        serial = ExperimentPool(jobs=1).throughputs(tasks)
-        assert serial == BatchExperimentPool(jobs=1).throughputs(tasks)
-        assert serial == BatchExperimentPool(jobs=2).throughputs(tasks)
-        assert serial == BatchExperimentPool(
-            jobs=1, batch_size=3).throughputs(tasks)
-
-    def test_job_counts_collect_byte_identical_results(self):
-        """The PR-1 claim, pinned: the same task grid produces
-        byte-identical collected results for jobs=1, 2 and 4."""
-        tasks = self._tasks()
-        collected = {
-            jobs: ExperimentPool(jobs=jobs).throughputs(tasks)
-            for jobs in (1, 2, 4)
-        }
-        blobs = {jobs: pickle.dumps(results)
-                 for jobs, results in collected.items()}
-        assert blobs[1] == blobs[2] == blobs[4]
-
-    def test_comparison_driver_matches_serial(self):
-        kwargs = dict(environments=("office",), n_traces=2,
-                      duration_s=DURATION_S, seed0=GOLDEN_SEED)
-        serial = fig3_5.run_comparison("mixed", jobs=1, **kwargs)
-        parallel = fig3_5.run_comparison("mixed", jobs=2, **kwargs)
-        assert serial["envs"]["office"]["normalised"] == \
-            parallel["envs"]["office"]["normalised"]
-        assert serial["envs"]["office"]["reference_mbps"] == \
-            parallel["envs"]["office"]["reference_mbps"]
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    @pytest.mark.parametrize("engine", ["auto", "fast", "batch"])
+    def test_engine_and_jobs_match_serial(self, serial, engine, jobs):
+        """Every engine at every job count collects byte-identical
+        results, equal to the serial per-task replays."""
+        run = Session(engine=engine, jobs=jobs).run(DETERMINISM_GRID)
+        assert pickle.dumps(list(run.throughputs)) == pickle.dumps(serial)
 
     def test_derive_seed_stable_and_distinct(self):
         a = derive_seed(0, "office", "mixed", 3)

@@ -12,13 +12,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import RATE_PROTOCOLS, cached_hints, cached_trace
-from repro.experiments.fig5_net import (
-    ScenarioTask,
-    run_grid,
-    run_scenario_task,
-    warm_scenario_task,
-)
-from repro.experiments.parallel import ExperimentPool
+from repro.api import NetworkSummary, Session
+from repro.api.executor import warm_network_task
+from repro.experiments.fig5_net import run_grid
 from repro.mac import LinkProcess, SimConfig, TcpSource, UdpSource, run_link
 from repro.network import (
     ApSpec,
@@ -482,31 +478,32 @@ class TestGridDeterminism:
         b = run_scenario(solo_scenario())
         assert_results_identical(a.station("s0"), b.station("s0"))
 
-    def test_grid_matches_across_job_counts(self):
+    @pytest.mark.parametrize("engine", ["reference", "batch"])
+    def test_grid_matches_direct_replay_any_jobs(self, engine):
         kwargs = dict(scenarios=("dense_cell",), seeds=(0, 1),
                       duration_s=2.0)
-        serial = run_grid(jobs=1, **kwargs)
-        parallel = run_grid(jobs=2, **kwargs)
+        serial = run_grid(**kwargs, session=Session(engine=engine, jobs=1))
+        parallel = run_grid(**kwargs, session=Session(engine=engine, jobs=2))
         assert serial == parallel
-        task = ScenarioTask(scenario="dense_cell", seed=0,
-                            policy="strongest", duration_s=2.0)
+        direct = run_scenario(make_scenario("dense_cell", seed=0,
+                                            duration_s=2.0))
         assert serial[("dense_cell", "strongest")][0] == \
-            run_scenario_task(task)
+            NetworkSummary.from_result(direct).to_dict()
 
 
 @pytest.mark.slow
 class TestDenseCellScale:
     def test_20_station_30s_replay_under_60s(self):
         """Acceptance: the dense cell completes a 30 s replay in under
-        60 s wall-clock via the fast engine + ExperimentPool."""
+        60 s wall-clock via the fast engine + session warm workers."""
         scenario = make_scenario("dense_cell", seed=5)
         assert scenario.n_stations == 20 and scenario.duration_s == 30.0
         start = time.perf_counter()
-        # Warm per-station artefacts through the pool (shared store),
+        # Warm per-station artefacts over two workers (shared store),
         # then replay the scenario on the resumable fast-engine steppers.
-        pool = ExperimentPool(jobs=2)
-        pool.map(warm_scenario_task,
-                 [("dense_cell", 5, None, i) for i in range(20)])
+        Session(jobs=2).scatter(warm_network_task,
+                                [("dense_cell", 5, None, (), i)
+                                 for i in range(20)])
         result = run_scenario(scenario)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"dense cell took {elapsed:.1f}s"

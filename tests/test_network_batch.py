@@ -170,29 +170,3 @@ class TestEngineEdgeCases:
         a = run_scenario(scenario)
         b = run_scenario(scenario)
         assert_network_results_identical(a, b)
-
-
-class TestGridWiring:
-    def test_batch_pool_matches_reference_grid(self):
-        from repro.experiments.fig5_net import run_grid
-
-        kwargs = dict(scenarios=("dense_cell",), seeds=(0,),
-                      policies=("strongest",), duration_s=2.0)
-        ref = run_grid(jobs=1, engine="reference", **kwargs)
-        bat = run_grid(jobs=1, engine="batch", **kwargs)
-        assert ref == bat
-
-    def test_batch_pool_parallel_matches_serial(self):
-        from repro.experiments.fig5_net import run_grid
-
-        kwargs = dict(scenarios=("dense_cell",), seeds=(0, 1),
-                      policies=("strongest",), duration_s=2.0,
-                      engine="batch")
-        assert run_grid(jobs=1, **kwargs) == run_grid(jobs=2, **kwargs)
-
-    def test_unknown_engine_rejected(self):
-        from repro.experiments.fig5_net import run_grid
-
-        with pytest.raises(ValueError):
-            run_grid(scenarios=("dense_cell",), seeds=(0,),
-                     duration_s=1.0, engine="warp")
